@@ -36,12 +36,14 @@ examples:
 daemon-smoke:
 	./scripts/daemon_smoke.sh
 
-# Short fuzz burst over the wire-protocol decoders (each target also
-# replays the checked-in seed corpus during plain `make test`).
+# Short fuzz burst over the wire-protocol decoders and the block codecs'
+# append decoders (each target also replays its seed corpus during plain
+# `make test`).
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/wireproto/
 	$(GO) test -fuzz FuzzReadHelloReply -fuzztime 5s ./internal/wireproto/
 	$(GO) test -fuzz FuzzDecodeError -fuzztime 5s ./internal/wireproto/
+	$(GO) test -fuzz FuzzAppendDecompress -fuzztime 10s ./internal/compress/
 
 # Run the benchmarks (experiment regeneration at the repo root, counter
 # and traced-vs-untraced boot-wave benches in internal packages) and

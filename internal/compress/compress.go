@@ -12,19 +12,26 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Codec compresses and decompresses single blocks. Compress returns a
-// fresh slice; Decompress must reproduce the original block exactly.
+// fresh slice; decoding must reproduce the original block exactly.
 // maxLen is an upper bound on the decompressed size (callers know the
-// block size), letting codecs allocate once and detect corruption.
+// block size), letting codecs size the output once and detect corruption.
 type Codec interface {
 	// Name is the registry key ("gzip6", "lz4", ...), matching the labels
 	// the paper uses in Fig 3.
 	Name() string
 	Compress(src []byte) []byte
+	// AppendDecompress decodes src and appends the result to dst, growing
+	// dst at most once. Output longer than maxLen is an error. On error it
+	// returns dst at its original length; dst's existing bytes are never
+	// modified either way.
+	AppendDecompress(dst, src []byte, maxLen int) ([]byte, error)
+	// Decompress is AppendDecompress(nil, src, maxLen).
 	Decompress(src []byte, maxLen int) ([]byte, error)
 }
 
@@ -98,24 +105,37 @@ func (Null) Compress(src []byte) []byte {
 	return out
 }
 
-// Decompress returns a copy of src.
-func (Null) Decompress(src []byte, maxLen int) ([]byte, error) {
+// AppendDecompress appends a copy of src to dst.
+func (Null) AppendDecompress(dst, src []byte, maxLen int) ([]byte, error) {
 	if len(src) > maxLen {
-		return nil, fmt.Errorf("compress: null payload %d exceeds max %d", len(src), maxLen)
+		return dst, fmt.Errorf("compress: null payload %d exceeds max %d", len(src), maxLen)
 	}
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
+	return append(dst, src...), nil
+}
+
+// Decompress returns a copy of src.
+func (n Null) Decompress(src []byte, maxLen int) ([]byte, error) {
+	return n.AppendDecompress(nil, src, maxLen)
 }
 
 // Gzip wraps compress/gzip at a fixed level. ZFS's gzip-6 is the paper's
 // codec of choice after Fig 3 shows gzip-9 gains almost nothing for extra
-// CPU. Writers are pooled: gzip writer allocation is far more expensive
-// than the window reset.
+// CPU. Writers and readers are pooled: allocating either costs far more
+// than resetting its window.
 type Gzip struct {
 	name    string
 	level   int
 	writers sync.Pool
+	readers sync.Pool // *gzipReader
+}
+
+// gzipReader is a pooled decoder together with the source reader it
+// decodes from and its end-of-stream probe, so a decode allocates none
+// of them.
+type gzipReader struct {
+	src   bytes.Reader
+	zr    gzip.Reader
+	probe [1]byte
 }
 
 // NewGzip returns a gzip codec at the given level registered under name.
@@ -128,6 +148,7 @@ func NewGzip(name string, level int) *Gzip {
 		}
 		return w
 	}
+	g.readers.New = func() any { return new(gzipReader) }
 	return g
 }
 
@@ -150,20 +171,51 @@ func (g *Gzip) Compress(src []byte) []byte {
 	return buf.Bytes()
 }
 
+// AppendDecompress implements Codec. It inflates straight into
+// dst[len(dst):len(dst)+maxLen] and then requires a probe read to return
+// io.EOF: that read is what makes gzip verify the trailer's CRC-32 and
+// size, and it proves the stream holds no byte past maxLen. Every other
+// error, including flate's io.ErrUnexpectedEOF on a truncated stream,
+// fails the decode.
+func (g *Gzip) AppendDecompress(dst, src []byte, maxLen int) ([]byte, error) {
+	r := g.readers.Get().(*gzipReader)
+	defer func() {
+		r.src.Reset(nil) // drop the pooled reader's reference to src
+		g.readers.Put(r)
+	}()
+	r.src.Reset(src)
+	if err := r.zr.Reset(&r.src); err != nil {
+		return dst, fmt.Errorf("compress: gzip header: %w", err)
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, maxLen)
+	out := dst[base : base+maxLen]
+	n := 0
+	for n < len(out) {
+		m, err := r.zr.Read(out[n:])
+		n += m
+		if err == io.EOF {
+			return dst[:base+n], nil
+		}
+		if err != nil {
+			return dst[:base], fmt.Errorf("compress: gzip body: %w", err)
+		}
+	}
+	// out is full, so the stream must end here.
+	for {
+		m, err := r.zr.Read(r.probe[:])
+		switch {
+		case m > 0:
+			return dst[:base], fmt.Errorf("compress: gzip output exceeds max %d", maxLen)
+		case err == io.EOF:
+			return dst[:base+n], nil
+		case err != nil:
+			return dst[:base], fmt.Errorf("compress: gzip body: %w", err)
+		}
+	}
+}
+
 // Decompress implements Codec.
 func (g *Gzip) Decompress(src []byte, maxLen int) ([]byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(src))
-	if err != nil {
-		return nil, fmt.Errorf("compress: gzip header: %w", err)
-	}
-	defer r.Close()
-	out := make([]byte, 0, maxLen)
-	buf := bytes.NewBuffer(out)
-	if _, err := io.Copy(buf, io.LimitReader(r, int64(maxLen)+1)); err != nil {
-		return nil, fmt.Errorf("compress: gzip body: %w", err)
-	}
-	if buf.Len() > maxLen {
-		return nil, fmt.Errorf("compress: gzip output %d exceeds max %d", buf.Len(), maxLen)
-	}
-	return buf.Bytes(), nil
+	return g.AppendDecompress(nil, src, maxLen)
 }

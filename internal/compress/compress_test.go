@@ -2,6 +2,8 @@ package compress
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -163,16 +165,131 @@ func TestDecompressCorruptInput(t *testing.T) {
 }
 
 func TestDecompressTruncatedInput(t *testing.T) {
+	// A truncated stream never overruns maxLen, and for gzip, whose
+	// trailer checksums the whole stream, every truncation is an error:
+	// flate's io.ErrUnexpectedEOF must not pass for a clean end.
 	in := bytes.Repeat([]byte("squirrel hoards "), 512)
 	for _, c := range allCodecs(t) {
 		comp := c.Compress(in)
-		for cut := 0; cut < len(comp); cut += 17 {
+		for cut := 0; cut < len(comp); cut++ {
 			out, err := c.Decompress(comp[:cut], len(in))
 			if err == nil && len(out) > len(in) {
 				t.Fatalf("%s: truncated stream overran maxLen", c.Name())
 			}
+			if isGzip(c) && err == nil {
+				t.Fatalf("%s: stream cut to %d of %d bytes decoded without error",
+					c.Name(), cut, len(comp))
+			}
 		}
 	}
+}
+
+func isGzip(c Codec) bool { return strings.HasPrefix(c.Name(), "gzip") }
+
+func TestAppendDecompress(t *testing.T) {
+	prefix := []byte("caller's prefix")
+	for _, c := range allCodecs(t) {
+		for name, in := range sampleInputs() {
+			comp := c.Compress(in)
+			t.Run(c.Name()+"/"+name+"/prefix kept", func(t *testing.T) {
+				// Both with room to spare and with none, so the codec
+				// must both write in place and grow.
+				for _, extra := range []int{0, len(in)} {
+					dst := append(make([]byte, 0, len(prefix)+extra), prefix...)
+					out, err := c.AppendDecompress(dst, comp, len(in))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], in) {
+						t.Fatalf("cap %d: got %d bytes, want prefix + %d", cap(dst), len(out), len(in))
+					}
+				}
+			})
+			if len(in) == 0 {
+				continue
+			}
+			t.Run(c.Name()+"/"+name+"/over maxLen", func(t *testing.T) {
+				dst := append([]byte(nil), prefix...)
+				out, err := c.AppendDecompress(dst, comp, len(in)-1)
+				if err == nil {
+					t.Fatalf("%d-byte output accepted under maxLen %d", len(in), len(in)-1)
+				}
+				if !bytes.Equal(out, prefix) {
+					t.Fatalf("failed decode returned %d bytes, want the %d-byte prefix", len(out), len(prefix))
+				}
+			})
+		}
+	}
+}
+
+func TestGzipReaderReusableAfterFailure(t *testing.T) {
+	// A pooled reader that just failed on a corrupt stream must decode
+	// the next valid stream byte-exactly.
+	in := sampleInputs()["mixed"]
+	for _, name := range []string{"gzip6", "gzip9"} {
+		c := MustGet(name)
+		comp := c.Compress(in)
+		bad := append([]byte(nil), comp...)
+		for i := len(bad) / 3; i < len(bad)/3+64; i++ {
+			bad[i] ^= 0x5A
+		}
+		for round := 0; round < 4; round++ {
+			if _, err := c.Decompress(bad, len(in)); err == nil {
+				t.Fatalf("%s: corrupt stream decoded", name)
+			}
+			if _, err := c.Decompress(comp[:len(comp)/2], len(in)); err == nil {
+				t.Fatalf("%s: truncated stream decoded", name)
+			}
+			out, err := c.Decompress(comp, len(in))
+			if err != nil || !bytes.Equal(out, in) {
+				t.Fatalf("%s round %d: decode after failure: err %v, equal %v",
+					name, round, err, bytes.Equal(out, in))
+			}
+		}
+	}
+}
+
+func FuzzAppendDecompress(f *testing.F) {
+	codecs := allCodecs(f)
+	for i, c := range codecs {
+		for _, in := range sampleInputs() {
+			in = in[:min(len(in), 4<<10)] // small seeds keep mutation fast
+			f.Add(uint8(i), c.Compress(in), uint32(len(in)), []byte("prefix"))
+		}
+	}
+	f.Fuzz(func(t *testing.T, ci uint8, src []byte, limit uint32, prefix []byte) {
+		c := codecs[int(ci)%len(codecs)]
+		maxLen := int(limit % (1 << 18)) // bound the up-front output buffer
+		dst := append([]byte(nil), prefix...)
+		out, err := c.AppendDecompress(dst, src, maxLen)
+		if len(out) < len(prefix) || !bytes.Equal(out[:len(prefix)], prefix) {
+			t.Fatalf("%s: prefix not preserved", c.Name())
+		}
+		got := out[len(prefix):]
+		if len(got) > maxLen {
+			t.Fatalf("%s: appended %d bytes over maxLen %d", c.Name(), len(got), maxLen)
+		}
+		if err != nil && len(got) != 0 {
+			t.Fatalf("%s: failed decode appended %d bytes", c.Name(), len(got))
+		}
+		if !isGzip(c) {
+			return
+		}
+		// The reference: a fresh stdlib reader, read to its end.
+		var want []byte
+		zr, werr := gzip.NewReader(bytes.NewReader(src))
+		if werr == nil {
+			want, werr = io.ReadAll(io.LimitReader(zr, int64(maxLen)+1))
+		}
+		refOK := werr == nil && len(want) <= maxLen
+		if refOK != (err == nil) {
+			t.Fatalf("%s: decode err %v, stdlib err %v with %d of max %d bytes",
+				c.Name(), err, werr, len(want), maxLen)
+		}
+		if refOK && !bytes.Equal(got, want) {
+			t.Fatalf("%s: output differs from stdlib gzip", c.Name())
+		}
+	})
 }
 
 func TestGetUnknown(t *testing.T) {
@@ -235,6 +352,7 @@ func benchCompress(b *testing.B, name string) {
 	c := MustGet(name)
 	in := sampleInputs()["mixed"][:64*1024]
 	b.SetBytes(int64(len(in)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Compress(in)
@@ -246,6 +364,7 @@ func benchDecompress(b *testing.B, name string) {
 	in := sampleInputs()["mixed"][:64*1024]
 	comp := c.Compress(in)
 	b.SetBytes(int64(len(in)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Decompress(comp, len(in)); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // LZ4 is a from-scratch Go implementation of the LZ4 block format, the
@@ -117,8 +118,15 @@ func (LZ4) Compress(src []byte) []byte {
 var errLZ4Corrupt = errors.New("compress: corrupt lz4 stream")
 
 // Decompress implements Codec.
-func (LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
-	dst := make([]byte, 0, maxLen)
+func (c LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
+	return c.AppendDecompress(nil, src, maxLen)
+}
+
+// AppendDecompress implements Codec. Match offsets reach back only into
+// the bytes this call appended, never into dst's prefix.
+func (LZ4) AppendDecompress(dst, src []byte, maxLen int) ([]byte, error) {
+	base := len(dst)
+	dst = slices.Grow(dst, maxLen)
 	i := 0
 	for i < len(src) {
 		tok := src[i]
@@ -128,7 +136,7 @@ func (LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
 		if litLen == 15 {
 			for {
 				if i >= len(src) {
-					return nil, errLZ4Corrupt
+					return dst[:base], errLZ4Corrupt
 				}
 				b := src[i]
 				i++
@@ -138,8 +146,8 @@ func (LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
 				}
 			}
 		}
-		if i+litLen > len(src) || len(dst)+litLen > maxLen {
-			return nil, errLZ4Corrupt
+		if i+litLen > len(src) || len(dst)-base+litLen > maxLen {
+			return dst[:base], errLZ4Corrupt
 		}
 		dst = append(dst, src[i:i+litLen]...)
 		i += litLen
@@ -148,18 +156,18 @@ func (LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
 		}
 		// Match.
 		if i+2 > len(src) {
-			return nil, errLZ4Corrupt
+			return dst[:base], errLZ4Corrupt
 		}
 		offset := int(src[i]) | int(src[i+1])<<8
 		i += 2
-		if offset == 0 || offset > len(dst) {
-			return nil, errLZ4Corrupt
+		if offset == 0 || offset > len(dst)-base {
+			return dst[:base], errLZ4Corrupt
 		}
 		mlen := int(tok&0xF) + lz4MinMatch
 		if tok&0xF == 15 {
 			for {
 				if i >= len(src) {
-					return nil, errLZ4Corrupt
+					return dst[:base], errLZ4Corrupt
 				}
 				b := src[i]
 				i++
@@ -169,8 +177,8 @@ func (LZ4) Decompress(src []byte, maxLen int) ([]byte, error) {
 				}
 			}
 		}
-		if len(dst)+mlen > maxLen {
-			return nil, fmt.Errorf("compress: lz4 output exceeds max %d", maxLen)
+		if len(dst)-base+mlen > maxLen {
+			return dst[:base], fmt.Errorf("compress: lz4 output exceeds max %d", maxLen)
 		}
 		start := len(dst) - offset
 		for k := 0; k < mlen; k++ {

@@ -3,6 +3,7 @@ package compress
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // LZJB is a from-scratch Go implementation of the LZJB compression scheme
@@ -87,8 +88,15 @@ func (LZJB) Compress(src []byte) []byte {
 var errLZJBCorrupt = errors.New("compress: corrupt lzjb stream")
 
 // Decompress implements Codec.
-func (LZJB) Decompress(src []byte, maxLen int) ([]byte, error) {
-	dst := make([]byte, 0, maxLen)
+func (c LZJB) Decompress(src []byte, maxLen int) ([]byte, error) {
+	return c.AppendDecompress(nil, src, maxLen)
+}
+
+// AppendDecompress implements Codec. Match offsets reach back only into
+// the bytes this call appended, never into dst's prefix.
+func (LZJB) AppendDecompress(dst, src []byte, maxLen int) ([]byte, error) {
+	base := len(dst)
+	dst = slices.Grow(dst, maxLen)
 	i := 0
 	for i < len(src) {
 		ctrl := src[i]
@@ -96,17 +104,17 @@ func (LZJB) Decompress(src []byte, maxLen int) ([]byte, error) {
 		for bit := uint(0); bit < 8 && i < len(src); bit++ {
 			if ctrl&(1<<bit) != 0 {
 				if i+1 >= len(src) {
-					return nil, errLZJBCorrupt
+					return dst[:base], errLZJBCorrupt
 				}
 				length := int(src[i]>>(8-lzjbMatchBits)) + lzjbMatchMin
 				offset := int(src[i]&(1<<(8-lzjbMatchBits)-1))<<8 | int(src[i+1])
 				i += 2
 				start := len(dst) - offset
-				if start < 0 || offset == 0 {
-					return nil, errLZJBCorrupt
+				if start < base || offset == 0 {
+					return dst[:base], errLZJBCorrupt
 				}
-				if len(dst)+length > maxLen {
-					return nil, fmt.Errorf("compress: lzjb output exceeds max %d", maxLen)
+				if len(dst)-base+length > maxLen {
+					return dst[:base], fmt.Errorf("compress: lzjb output exceeds max %d", maxLen)
 				}
 				// Byte-at-a-time copy: source and destination may overlap
 				// (runs shorter than the match length), exactly like LZ77
@@ -115,8 +123,8 @@ func (LZJB) Decompress(src []byte, maxLen int) ([]byte, error) {
 					dst = append(dst, dst[start+k])
 				}
 			} else {
-				if len(dst)+1 > maxLen {
-					return nil, fmt.Errorf("compress: lzjb output exceeds max %d", maxLen)
+				if len(dst)-base+1 > maxLen {
+					return dst[:base], fmt.Errorf("compress: lzjb output exceeds max %d", maxLen)
 				}
 				dst = append(dst, src[i])
 				i++

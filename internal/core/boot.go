@@ -171,32 +171,40 @@ func (s *Squirrel) Boot(ctx context.Context, req BootRequest) (BootReport, error
 
 	rep := BootReport{ImageID: id, NodeID: nodeID, Healed: healed}
 	var gen *corpus.Generator
+	var want []byte
 	if req.Verify {
 		gen = corpus.NewGenerator(im)
+		want = make([]byte, s.cfg.ClusterSize)
 	}
-	buf := make([]byte, 0, 64<<10)
+	// Each trace extent is read in cluster-aligned chunks through one
+	// pooled cluster-sized buffer. A chunk never spans two clusters, so
+	// the overlay still fetches each cluster of an extent exactly once.
+	bp := s.bootBufs.Get().(*[]byte)
+	defer s.bootBufs.Put(bp)
+	cs := s.cfg.ClusterSize
 	for _, e := range im.BootTrace() {
 		if err := ctx.Err(); err != nil {
 			return fail(fmt.Errorf("core: boot %s on %s: %w", id, nodeID, err))
 		}
-		if int64(cap(buf)) < e.Len {
-			buf = make([]byte, e.Len)
-		}
-		b := buf[:e.Len]
-		if _, err := cow.ReadAt(b, e.Off); err != nil && err != io.EOF {
-			return fail(fmt.Errorf("core: boot read at %d: %w", e.Off, err))
+		for off, end := e.Off, e.Off+e.Len; off < end; {
+			n := min(end, (off/cs+1)*cs) - off
+			b := (*bp)[:n]
+			if _, err := cow.ReadAt(b, off); err != nil && err != io.EOF {
+				return fail(fmt.Errorf("core: boot read at %d: %w", off, err))
+			}
+			if req.Verify {
+				w := want[:n]
+				if _, err := gen.ReadAt(w, off); err != nil && err != io.EOF {
+					return fail(err)
+				}
+				if !bytes.Equal(b, w) {
+					return fail(fmt.Errorf("core: boot data mismatch at %d (+%d)", off, n))
+				}
+			}
+			off += n
 		}
 		rep.ReadBytes += e.Len
 		s.bootReads.Observe(e.Len)
-		if req.Verify {
-			want := make([]byte, e.Len)
-			if _, err := gen.ReadAt(want, e.Off); err != nil && err != io.EOF {
-				return fail(err)
-			}
-			if !bytes.Equal(b, want) {
-				return fail(fmt.Errorf("core: boot data mismatch at %d (+%d)", e.Off, e.Len))
-			}
-		}
 	}
 	rep.NetworkBytes = cb.networkBytes
 	rep.CacheBytes = cb.cacheBytes

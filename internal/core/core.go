@@ -194,6 +194,8 @@ type Squirrel struct {
 	gates map[string]*bootGate
 	// bootReads records the size of every boot-trace read.
 	bootReads *metrics.Histogram
+	// bootBufs pools Boot's cluster-sized read buffers (*[]byte).
+	bootBufs sync.Pool
 	// tel/tr are the observability layer (cfg.Obs); both nil when
 	// disabled, and every use is nil-safe. Set once in New, never
 	// mutated, so they are read without locks.
@@ -271,6 +273,10 @@ func New(cfg Config, cl *cluster.Cluster, pfs *cluster.PFS) (*Squirrel, error) {
 		downSince:  make(map[string]time.Time),
 		damaged:    make(map[string][]zvol.BlockRef),
 		lastScrub:  make(map[string]time.Time),
+	}
+	s.bootBufs.New = func() any {
+		b := make([]byte, cfg.ClusterSize)
+		return &b
 	}
 	s.faults.Store(cfg.Faults)
 	s.peers.SetBreakerPolicy(cfg.Peer.Breaker)

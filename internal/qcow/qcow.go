@@ -96,11 +96,9 @@ func (o *Overlay) ReadAt(p []byte, off int64) (int, error) {
 		if rem := o.size - off; n > rem {
 			n = rem
 		}
-		data, err := o.clusterFor(ci)
-		if err != nil {
+		if err := o.readCluster(p[:n], ci, cOff); err != nil {
 			return total, err
 		}
-		copy(p[:n], data[cOff:cOff+n])
 		p = p[n:]
 		off += n
 		total += int(n)
@@ -111,8 +109,14 @@ func (o *Overlay) ReadAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// clusterFor returns cluster ci's payload, fetching from backing on miss.
-func (o *Overlay) clusterFor(ci int64) ([]byte, error) {
+// scratch holds fetch buffers for clusters an overlay does not keep, so a
+// read through a non-copy-on-read overlay allocates nothing once warm.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// readCluster copies cluster ci's bytes from offset cOff into p, fetching
+// the whole cluster from backing on a miss (and retaining it when
+// copy-on-read is enabled).
+func (o *Overlay) readCluster(p []byte, ci, cOff int64) error {
 	o.mu.RLock()
 	data, ok := o.clusters[ci]
 	o.mu.RUnlock()
@@ -120,34 +124,51 @@ func (o *Overlay) clusterFor(ci int64) ([]byte, error) {
 		o.mu.Lock()
 		o.LocalReads += int64(len(data))
 		o.mu.Unlock()
-		return data, nil
+		copy(p, data[cOff:])
+		return nil
 	}
-	buf, err := o.fetchCluster(ci)
+	if !o.cor {
+		// The scratch buffer never leaves this call.
+		sp := scratch.Get().(*[]byte)
+		defer scratch.Put(sp)
+		buf, err := o.fetchCluster(*sp, ci)
+		if err != nil {
+			return err
+		}
+		*sp = buf
+		o.mu.Lock()
+		o.BackingReads += int64(len(buf))
+		o.mu.Unlock()
+		copy(p, buf[cOff:])
+		return nil
+	}
+	buf, err := o.fetchCluster(nil, ci)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	o.mu.Lock()
 	o.BackingReads += int64(len(buf))
-	if o.cor {
-		// Copy-on-read: the fetched cluster becomes part of the cache.
-		if dup, ok := o.clusters[ci]; ok {
-			buf = dup // raced with another reader; keep the first copy
-		} else {
-			o.clusters[ci] = buf
-		}
+	// Copy-on-read: the fetched cluster becomes part of the cache.
+	if dup, ok := o.clusters[ci]; ok {
+		buf = dup // raced with another reader; keep the first copy
+	} else {
+		o.clusters[ci] = buf
 	}
 	o.mu.Unlock()
-	return buf, nil
+	copy(p, buf[cOff:])
+	return nil
 }
 
-// fetchCluster reads one whole cluster from backing (short at EOF).
-func (o *Overlay) fetchCluster(ci int64) ([]byte, error) {
+// fetchCluster reads one whole cluster from backing (short at EOF) into
+// buf, growing it if it is too small, and returns the cluster's bytes.
+// A nil buf yields a fresh cluster the caller may keep.
+func (o *Overlay) fetchCluster(buf []byte, ci int64) ([]byte, error) {
 	start := ci * o.cluster
-	l := o.cluster
-	if start+l > o.size {
-		l = o.size - start
+	l := min(o.cluster, o.size-start)
+	if int64(cap(buf)) < l {
+		buf = make([]byte, l)
 	}
-	buf := make([]byte, l)
+	buf = buf[:l]
 	n, err := o.backing.ReadAt(buf, start)
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("qcow: backing read cluster %d: %w", ci, err)
@@ -177,7 +198,7 @@ func (o *Overlay) WriteAt(p []byte, off int64) (int, error) {
 		data, ok := o.clusters[ci]
 		o.mu.Unlock()
 		if !ok {
-			fetched, err := o.fetchCluster(ci)
+			fetched, err := o.fetchCluster(nil, ci)
 			if err != nil {
 				return total, err
 			}

@@ -2,6 +2,7 @@ package qcow
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -192,33 +193,39 @@ func TestBadConstruction(t *testing.T) {
 }
 
 func TestConcurrentReaders(t *testing.T) {
-	base := mkBase(10, 1<<20)
-	cache, _ := NewOverlay(base, 64*1024, true)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			buf := make([]byte, 2048)
-			for i := 0; i < 200; i++ {
-				off := rng.Int63n(int64(len(base.Data)) - 2048)
-				if _, err := cache.ReadAt(buf, off); err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(buf, base.Data[off:off+2048]) {
-					errs <- io.ErrUnexpectedEOF
-					return
-				}
+	// Copy-on-read readers share the cluster cache; the others share the
+	// pooled fetch scratch.
+	for _, cor := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cor=%v", cor), func(t *testing.T) {
+			base := mkBase(10, 1<<20)
+			cache, _ := NewOverlay(base, 64*1024, cor)
+			var wg sync.WaitGroup
+			errs := make(chan error, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					buf := make([]byte, 2048)
+					for i := 0; i < 200; i++ {
+						off := rng.Int63n(int64(len(base.Data)) - 2048)
+						if _, err := cache.ReadAt(buf, off); err != nil {
+							errs <- err
+							return
+						}
+						if !bytes.Equal(buf, base.Data[off:off+2048]) {
+							errs <- io.ErrUnexpectedEOF
+							return
+						}
+					}
+				}(int64(g))
 			}
-		}(int64(g))
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -240,5 +247,31 @@ func TestFuncBackend(t *testing.T) {
 	ov.ReadAt(buf, 100) // same cluster, cached
 	if calls != 1 {
 		t.Fatalf("backend called %d times, want 1", calls)
+	}
+}
+
+func TestNoCopyOnReadReadAtAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const cluster = 4096
+	o, err := NewOverlay(mkBase(9, 16*cluster+77), cluster, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unaligned, spanning several clusters and the short last one.
+	buf := make([]byte, 5*cluster+300)
+	off := int64(11*cluster + 123)
+	read := func() {
+		if _, err := o.ReadAt(buf, off); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("non-copy-on-read ReadAt allocates %.1f times per call, want 0", allocs)
+	}
+	if o.CachedClusters() != 0 {
+		t.Fatalf("non-copy-on-read overlay kept %d clusters", o.CachedClusters())
 	}
 }

@@ -39,6 +39,7 @@ func benchVolume(b *testing.B, cfgName string, cfg Config) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := v.ReadObject("o"); err != nil {

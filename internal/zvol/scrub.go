@@ -57,6 +57,7 @@ func (v *Volume) Scrub() ScrubReport {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	var rep ScrubReport
+	var buf []byte // one decode buffer for the whole walk
 	for _, name := range v.objectNamesLocked() {
 		obj := v.objects[name]
 		rep.Objects++
@@ -67,7 +68,8 @@ func (v *Volume) Scrub() ScrubReport {
 			}
 			rep.Blocks++
 			rep.ScannedBytes += int64(p.physLen)
-			if _, err := v.readBlockPtr(p); err != nil {
+			var err error
+			if buf, err = v.appendBlockPtr(buf[:0], p); err != nil {
 				if errors.Is(err, ErrCorrupt) {
 					rep.CorruptBlocks++
 				} else {

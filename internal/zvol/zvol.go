@@ -263,7 +263,7 @@ func (v *Volume) releasePtrsLocked(ptrs []blockPtr) {
 }
 
 // ReadObject returns the full content of the named object in the live
-// object table.
+// object table, in a fresh buffer the caller owns.
 func (v *Volume) ReadObject(name string) ([]byte, error) {
 	v.mu.RLock()
 	obj, ok := v.objects[name]
@@ -274,7 +274,8 @@ func (v *Volume) ReadObject(name string) ([]byte, error) {
 	return v.materialize(obj)
 }
 
-// materialize reconstructs an object's bytes.
+// materialize reconstructs an object's bytes into one exactly sized
+// buffer the caller owns.
 func (v *Volume) materialize(obj *Object) ([]byte, error) {
 	out := make([]byte, 0, obj.Size)
 	for i, p := range obj.ptrs {
@@ -282,48 +283,53 @@ func (v *Volume) materialize(obj *Object) ([]byte, error) {
 			out = append(out, make([]byte, p.logLen)...)
 			continue
 		}
-		data, err := v.readBlockPtr(p)
-		if err != nil {
+		var err error
+		if out, err = v.appendBlockPtr(out, p); err != nil {
 			return nil, fmt.Errorf("zvol: object %s block %d: %w", obj.Name, i, err)
 		}
-		out = append(out, data...)
 	}
 	return out, nil
 }
 
-// readBlockPtr fetches, decodes, and checksum-verifies one block. Every
-// read is end-to-end verified against the block pointer's stored hash
-// (ZFS-style): a rotted payload surfaces as ErrCorrupt instead of
-// corrupt bytes, so damage can never be served to a boot or a peer.
-func (v *Volume) readBlockPtr(p blockPtr) ([]byte, error) {
+// appendBlockPtr fetches one block, appends its decoded bytes to dst and
+// verifies them. Every read is end-to-end verified against the block
+// pointer (ZFS-style): the stored payload against physHash before it is
+// decoded, then the decoded length and the logical content hash over
+// exactly the appended range. A rotted payload surfaces as ErrCorrupt
+// instead of corrupt bytes, so damage can never be served to a boot or a
+// peer. On error dst is returned at its original length.
+func (v *Volume) appendBlockPtr(dst []byte, p blockPtr) ([]byte, error) {
 	payload, err := v.store.Read(p.addr)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if block.HashOf(payload) != p.physHash {
-		return nil, ErrCorrupt
+		return dst, ErrCorrupt
 	}
-	data := payload
+	base := len(dst)
 	if p.compressed {
-		data, err = v.codec.Decompress(payload, int(p.logLen))
+		dst, err = v.codec.AppendDecompress(dst, payload, int(p.logLen))
 		if err != nil {
 			// A rotted compressed payload typically fails to decode at
 			// all; classify that as corruption, not an I/O error.
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return dst, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
+	} else {
+		dst = append(dst, payload...)
 	}
+	data := dst[base:]
 	if int32(len(data)) != p.logLen {
-		return nil, fmt.Errorf("%w: length %d != %d", ErrCorrupt, len(data), p.logLen)
+		return dst[:base], fmt.Errorf("%w: length %d != %d", ErrCorrupt, len(data), p.logLen)
 	}
 	if block.HashOf(data) != p.hash {
-		return nil, ErrCorrupt
+		return dst[:base], ErrCorrupt
 	}
-	return data, nil
+	return dst, nil
 }
 
 // ReadBlock returns the idx-th logical block of the named object along
 // with its physical address (0 and zero=true for holes). The boot
-// simulator uses the address to model seeks.
+// simulator uses the address to model seeks. The bytes are the caller's.
 func (v *Volume) ReadBlock(name string, idx int) (data []byte, addr uint64, zero bool, err error) {
 	v.mu.RLock()
 	obj, ok := v.objects[name]
@@ -338,8 +344,10 @@ func (v *Volume) ReadBlock(name string, idx int) (data []byte, addr uint64, zero
 	if p.zero {
 		return make([]byte, p.logLen), 0, true, nil
 	}
-	data, err = v.readBlockPtr(p)
-	return data, p.addr, false, err
+	if data, err = v.appendBlockPtr(nil, p); err != nil {
+		return nil, p.addr, false, err
+	}
+	return data, p.addr, false, nil
 }
 
 // DeleteObject removes an object from the live table. Blocks remain alive
