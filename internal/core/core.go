@@ -375,10 +375,12 @@ func (s *Squirrel) announceHoldingsLocked(nodeID string) {
 		s.idx.Retract(nodeID)
 		return
 	}
+	// Walk the catalog rather than the replica's sorted object list: the
+	// index takes holdings in any order.
 	var held []string
-	for _, obj := range ccv.Objects() {
-		if _, ok := s.images[obj]; ok {
-			held = append(held, obj)
+	for id := range s.images {
+		if ccv.HasObject(id) {
+			held = append(held, id)
 		}
 	}
 	s.idx.SetHoldings(nodeID, held)

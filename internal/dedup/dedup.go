@@ -29,11 +29,11 @@ const (
 // Entry is one unique block in the table.
 type Entry struct {
 	Hash       block.Hash
-	Refs       int64  // number of logical references (objects + snapshots)
-	Addr       uint64 // physical address in the backing store
-	PhysLen    int32  // stored (possibly compressed) length
-	LogLen     int32  // original length
-	Compressed bool   // whether the payload at Addr is compressed
+	Refs       int64      // references: one per block pointer per object holding it
+	Addr       uint64     // physical address in the backing store
+	PhysLen    int32      // stored (possibly compressed) length
+	LogLen     int32      // original length
+	Compressed bool       // whether the payload at Addr is compressed
 	PhysHash   block.Hash // checksum of the stored payload bytes at Addr
 }
 

@@ -86,3 +86,47 @@ func BenchmarkSnapshotSendReceive(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSnapshotGC is the register path's per-snapshot cost at a
+// steady catalog: 256 live objects of four 64 KB blocks each, drawn
+// from a shared pool so the DDT dedups across them, and a 24-snapshot
+// retention window. Each iteration takes one snapshot and runs one GC
+// cycle that destroys the oldest.
+func BenchmarkSnapshotGC(b *testing.B) {
+	const objects, blocksPer, window = 256, 4, 24
+	v, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs := int(DefaultConfig().BlockSize)
+	pool := make([][]byte, 64)
+	for i := range pool {
+		pool[i] = mkData(int64(1000+i), bs)
+	}
+	for i := 0; i < objects; i++ {
+		var data []byte
+		for j := 0; j < blocksPer; j++ {
+			data = append(data, pool[(i*7+j*13)%len(pool)]...)
+		}
+		data[0] = byte(i) // one private block per object
+		if _, err := v.WriteObject(fmt.Sprintf("o%03d", i), bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	at := time.Unix(0, 0)
+	cycle := func(i int) {
+		at = at.Add(time.Hour)
+		if _, err := v.Snapshot(fmt.Sprintf("s%06d", i), at); err != nil {
+			b.Fatal(err)
+		}
+		v.GarbageCollect(at, window*time.Hour)
+	}
+	for i := 0; i < window; i++ {
+		cycle(-window + i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(i)
+	}
+}

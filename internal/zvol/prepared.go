@@ -31,32 +31,61 @@ type PreparedStream struct {
 // PreparedBlock is the precomputed stored form of one shipped payload.
 type PreparedBlock struct {
 	Hash       block.Hash // logical content hash (drives dedup)
-	Payload    []byte     // stored form: compressed iff Compressed; aliased by receivers, never mutated
+	Payload    []byte     // stored form: compressed iff Compressed; owned by the stream, aliased by receivers, never mutated
 	LogLen     int32
 	Compressed bool
 	PhysHash   block.Hash // checksum of Payload (what a scrub verifies)
 }
 
-// Prepare hashes and (per the volume's codec and minimum-gain rule)
-// compresses every shipped payload of st exactly once. The receiver
-// volumes must share this volume's Config — in Squirrel they always do:
-// the scVolume and every ccVolume are created from one cfg.Volume.
+// Prepare hashes every shipped payload of st once and settles its stored
+// form. A block this volume already stores (the stream was sent from it)
+// reuses that stored form; any other block is compressed per the
+// volume's codec and minimum-gain rule, exactly as writeBlock would. The
+// receiver volumes must share this volume's Config — in Squirrel they
+// always do: the scVolume and every ccVolume are created from one
+// cfg.Volume.
 func (v *Volume) Prepare(st *Stream) *PreparedStream {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	ps := &PreparedStream{Stream: st, Blocks: make([]PreparedBlock, len(st.Blocks))}
 	for i, data := range st.Blocks {
 		pb := PreparedBlock{Hash: block.HashOf(data), Payload: data, LogLen: int32(len(data))}
-		if v.codec.Name() != "null" {
-			comp := v.codec.Compress(data)
-			gain := 1 - float64(len(comp))/float64(len(data))
-			if gain > v.cfg.MinCompressGain {
-				pb.Payload = comp
-				pb.Compressed = true
+		if !v.reuseStoredLocked(&pb) {
+			if v.codec.Name() != "null" {
+				comp := v.codec.Compress(data)
+				gain := 1 - float64(len(comp))/float64(len(data))
+				if gain > v.cfg.MinCompressGain {
+					pb.Payload = comp
+					pb.Compressed = true
+				}
 			}
+			pb.PhysHash = block.HashOf(pb.Payload)
 		}
-		pb.PhysHash = block.HashOf(pb.Payload)
 		ps.Blocks[i] = pb
 	}
 	return ps
+}
+
+// reuseStoredLocked fills pb's stored form from this volume's own copy of
+// the block, and reports whether it could. The codec is deterministic,
+// so that copy is byte for byte what compressing pb's content would
+// produce; it is used only while it still verifies against its physical
+// checksum, so a rotted copy falls back to compressing the verified
+// logical bytes. The payload is copied: receivers alias it, and this
+// volume's stored bytes may later rot or be rewritten in place. Caller
+// holds v.mu.
+func (v *Volume) reuseStoredLocked(pb *PreparedBlock) bool {
+	e := v.ddt.Lookup(pb.Hash) // the DDT is empty without dedup
+	if e == nil || e.LogLen != pb.LogLen {
+		return false
+	}
+	stored, err := v.store.Read(e.Addr)
+	if err != nil || block.HashOf(stored) != e.PhysHash {
+		return false
+	}
+	pb.Payload = append([]byte(nil), stored...)
+	pb.Compressed, pb.PhysHash = e.Compressed, e.PhysHash
+	return true
 }
 
 // ReceivePrepared applies a prepared stream. Semantics are identical to

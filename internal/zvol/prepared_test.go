@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/compress"
 )
 
 // prepPair builds a source volume with several objects (dedup'd shared
@@ -208,4 +210,105 @@ func TestReceivePreparedTornApplyRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdenticalReplicas(t, plain, dst)
+}
+
+// countingCodec counts Compress calls, telling Prepare's reuse of the
+// stored form apart from its fallback to the codec.
+type countingCodec struct {
+	compress.Codec
+	compresses int
+}
+
+func (c *countingCodec) Compress(src []byte) []byte {
+	c.compresses++
+	return c.Codec.Compress(src)
+}
+
+func countCompresses(v *Volume) *countingCodec {
+	cc := &countingCodec{Codec: v.codec}
+	v.codec = cc
+	return cc
+}
+
+// Every shipped block of a stream sent from the preparing volume is
+// stored there, so Prepare compresses nothing and the replica is still
+// identical to one built by plain Receive.
+func TestPrepareReusesStoredForm(t *testing.T) {
+	src, st := prepPair(t)
+	cc := countCompresses(src)
+	ps := src.Prepare(st)
+	if cc.compresses != 0 {
+		t.Fatalf("Prepare compressed %d of %d blocks the volume already stores",
+			cc.compresses, len(st.Blocks))
+	}
+	plain, prepped := pair(t)
+	if err := plain.Receive(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := prepped.ReceivePrepared(ps); err != nil {
+		t.Fatal(err)
+	}
+	assertIdenticalReplicas(t, plain, prepped)
+}
+
+// A stored copy that rotted after Send must not be shipped: Prepare
+// compresses the stream's verified logical bytes instead.
+func TestPrepareFallsBackOnRottedStoredBlock(t *testing.T) {
+	src, st := prepPair(t)
+	if err := src.CorruptStoredBlock("base", 0, 0, 0xFF); err != nil {
+		t.Fatal(err)
+	}
+	cc := countCompresses(src)
+	ps := src.Prepare(st)
+	if cc.compresses != 1 {
+		t.Fatalf("Prepare compressed %d blocks, want only the rotted one", cc.compresses)
+	}
+	plain, prepped := pair(t)
+	if err := plain.Receive(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := prepped.ReceivePrepared(ps); err != nil {
+		t.Fatal(err)
+	}
+	if rep := prepped.Scrub(); !rep.Clean() {
+		t.Fatalf("replica prepared from a rotted source failed scrub: %+v", rep)
+	}
+	assertIdenticalReplicas(t, plain, prepped)
+}
+
+// Prepared payloads are copies: rotting every stored block on the source
+// after the receive leaves the replica's bytes as they were.
+func TestPreparedPayloadsDoNotAliasSource(t *testing.T) {
+	src, st := prepPair(t)
+	ps := src.Prepare(st)
+	dst, _ := pair(t)
+	if err := dst.ReceivePrepared(ps); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotState(t, dst)
+	rotted := map[uint64]bool{} // by address: a dedup'd block rots once
+	for _, name := range src.Objects() {
+		infos, err := src.BlockInfos(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bi := range infos {
+			if bi.Zero || rotted[bi.Addr] {
+				continue
+			}
+			rotted[bi.Addr] = true
+			if err := src.store.Corrupt(bi.Addr, 0, 0xFF); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if rep := src.Scrub(); rep.Clean() {
+		t.Fatal("rotting the source left it clean")
+	}
+	if rep := dst.Scrub(); !rep.Clean() {
+		t.Fatalf("rot on the source reached the replica: %+v", rep)
+	}
+	if !sameState(want, snapshotState(t, dst)) {
+		t.Fatal("replica bytes changed after the source rotted")
+	}
 }

@@ -6,10 +6,12 @@ import (
 )
 
 // Snapshot creates a named, immutable view of the volume's current object
-// table at the given time. Every block referenced by the snapshot gains a
-// reference, so deleting live objects cannot free data a snapshot still
-// needs — the property that makes ZFS snapshots "cheap as long as they do
-// not reference data that no longer exists" (§3.2).
+// table at the given time. Every object the snapshot captures gains a
+// table reference, so deleting live objects cannot free data a snapshot
+// still needs — the property that makes ZFS snapshots "cheap as long as
+// they do not reference data that no longer exists" (§3.2). Like a ZFS
+// snapshot, it leaves the DDT untouched: its cost is one increment per
+// object, not one reference per block.
 //
 // The timestamp is injected (not read from the wall clock) so garbage
 // collection windows are testable and simulations are deterministic.
@@ -22,23 +24,11 @@ func (v *Volume) Snapshot(name string, at time.Time) (*Snapshot, error) {
 	objs := make(map[string]*Object, len(v.objects))
 	for n, o := range v.objects {
 		objs[n] = o // objects are immutable once written
-		v.addRefsLocked(o.ptrs)
+		o.refs++
 	}
 	s := &Snapshot{Name: name, Created: at, objects: objs}
 	v.snaps = append(v.snaps, s)
 	return s, nil
-}
-
-// addRefsLocked bumps references for every nonzero block in ptrs.
-func (v *Volume) addRefsLocked(ptrs []blockPtr) {
-	if !v.cfg.Dedup {
-		return // without a DDT, snapshots share the object structs only
-	}
-	for _, p := range ptrs {
-		if !p.zero {
-			v.ddt.AddRef(p.hash)
-		}
-	}
 }
 
 // findSnapLocked returns the snapshot named name, or nil.
@@ -80,18 +70,14 @@ func (v *Volume) LatestSnapshot() *Snapshot {
 	return v.snaps[len(v.snaps)-1]
 }
 
-// DeleteSnapshot destroys a snapshot, releasing its block references.
+// DeleteSnapshot destroys a snapshot, releasing its object references.
 func (v *Volume) DeleteSnapshot(name string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for i, s := range v.snaps {
 		if s.Name == name {
 			v.snaps = append(v.snaps[:i], v.snaps[i+1:]...)
-			if v.cfg.Dedup {
-				for _, o := range s.objects {
-					v.releasePtrsLocked(o.ptrs)
-				}
-			}
+			v.unrefSnapLocked(s)
 			return nil
 		}
 	}
@@ -119,14 +105,18 @@ func (v *Volume) GarbageCollect(now time.Time, window time.Duration) []string {
 			continue
 		}
 		destroyed = append(destroyed, s.Name)
-		if v.cfg.Dedup {
-			for _, o := range s.objects {
-				v.releasePtrsLocked(o.ptrs)
-			}
-		}
+		v.unrefSnapLocked(s)
 	}
 	v.snaps = kept
 	return destroyed
+}
+
+// unrefSnapLocked drops a destroyed snapshot's hold on every object it
+// captured.
+func (v *Volume) unrefSnapLocked(s *Snapshot) {
+	for _, o := range s.objects {
+		v.unrefLocked(o)
+	}
 }
 
 // ReadObjectAt returns the content of an object as captured by a snapshot,

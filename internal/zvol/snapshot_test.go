@@ -33,6 +33,51 @@ func TestSnapshotPreservesContent(t *testing.T) {
 	}
 }
 
+// Without dedup every object owns its blocks, yet a snapshot that still
+// holds a deleted object must keep serving it until the snapshot goes.
+func TestNoDedupSnapshotOutlivesDelete(t *testing.T) {
+	v, _ := New(cfg(block.Size4K, "gzip6", false))
+	data := mkData(10, 80*1024)
+	if _, err := v.WriteObject("a", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Snapshot("s1", day(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.DeleteObject("a"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := v.ReadObjectAt("s1", "a")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("snapshot lost content after delete: %v", err)
+	}
+	if err := v.DeleteSnapshot("s1"); err != nil {
+		t.Fatal(err)
+	}
+	if ss := v.StoreStats(); ss.Blocks != 0 || ss.UsedBytes != 0 {
+		t.Fatalf("last table gone, store still holds %+v", ss)
+	}
+}
+
+// A snapshot is one table reference per object: the DDT, refcounts
+// included, is exactly what it was before.
+func TestSnapshotLeavesDDTUntouched(t *testing.T) {
+	v, _ := New(cfg(block.Size4K, "gzip6", true))
+	v.WriteObject("a", bytes.NewReader(mkData(10, 80*1024)))
+	v.WriteObject("b", bytes.NewReader(mkData(10, 40*1024))) // shares a's prefix
+	before := v.DDTStats()
+	if _, err := v.Snapshot("s1", day(0)); err != nil {
+		t.Fatal(err)
+	}
+	if after := v.DDTStats(); after != before {
+		t.Fatalf("snapshot changed the DDT:\n  before %+v\n  after  %+v", before, after)
+	}
+	if st := v.Stats(); st.References != 2*before.References {
+		t.Fatalf("Stats().References %d, want %d (live table + one snapshot)",
+			st.References, 2*before.References)
+	}
+}
+
 func TestSnapshotIsolation(t *testing.T) {
 	v, _ := New(cfg(block.Size4K, "gzip6", true))
 	v.WriteObject("a", bytes.NewReader(mkData(11, 40*1024)))

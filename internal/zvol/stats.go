@@ -23,8 +23,12 @@ type Stats struct {
 	DiskBytes int64
 
 	UniqueBlocks int64
-	References   int64
-	DedupRatio   float64 // references / unique, nonzero blocks only
+	// References counts nonzero block pointers once per table holding
+	// them (the live table and every snapshot), the paper's logical
+	// view. The DDT itself holds one reference per pointer per object
+	// (see DDTStats).
+	References int64
+	DedupRatio float64 // references / unique, nonzero blocks only
 }
 
 // bytesPerBlockPtr models ZFS's on-disk block pointer (a 128-byte blkptr_t,
@@ -41,25 +45,28 @@ func (v *Volume) Stats() Stats {
 	st.Snapshots = int64(len(v.snaps))
 	st.ZeroBytes = v.zeroBytes
 
-	var nptrs int64
+	var nptrs, refs int64
 	for _, o := range v.objects {
 		st.LogicalBytes += o.Size
 		nptrs += int64(len(o.ptrs))
+		refs += o.nonzero
 	}
 	for _, s := range v.snaps {
 		for _, o := range s.objects {
 			nptrs += int64(len(o.ptrs))
+			refs += o.nonzero
 		}
 	}
 	st.MetaBytes = nptrs * bytesPerBlockPtr
 
 	if v.cfg.Dedup {
 		ds := v.ddt.Stats()
+		ds.References = refs
 		st.DataBytes = ds.PhysicalBytes
 		st.DDTDiskBytes = ds.DiskBytes
 		st.DDTMemBytes = ds.MemBytes
 		st.UniqueBlocks = ds.Entries
-		st.References = ds.References
+		st.References = refs
 		st.DedupRatio = ds.DedupRatio()
 	} else {
 		ss := v.store.Stats()
@@ -77,7 +84,8 @@ func (v *Volume) Stats() Stats {
 func (v *Volume) StoreStats() store.Stats { return v.store.Stats() }
 
 // DDTStats exposes the raw dedup-table statistics (nil-safe: volumes
-// without dedup return zero stats).
+// without dedup return zero stats). Its References count one per
+// nonzero block pointer per held object: snapshots add none.
 func (v *Volume) DDTStats() dedup.Stats {
 	if !v.cfg.Dedup {
 		return dedup.Stats{}

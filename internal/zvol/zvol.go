@@ -68,6 +68,14 @@ type Object struct {
 	Name string
 	Size int64 // logical size in bytes
 	ptrs []blockPtr
+	// nonzero counts the non-hole pointers: the DDT references the
+	// object holds, once, however many tables hold the object.
+	nonzero int64
+	// refs counts the tables holding the object: the live table and each
+	// snapshot. Its blocks are released when the last table lets go, so
+	// a snapshot costs one increment per object, never one DDT reference
+	// per block, as in ZFS, where snapshots leave DDT refcounts alone.
+	refs int
 }
 
 // NumBlocks returns the number of logical blocks, including holes.
@@ -203,6 +211,7 @@ func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 			return nil
 		}
 		obj.ptrs = append(obj.ptrs, v.writeBlock(c.Data))
+		obj.nonzero++
 		return nil
 	})
 	if err != nil {
@@ -211,6 +220,7 @@ func (v *Volume) WriteObject(name string, r io.Reader) (*Object, error) {
 		v.releasePtrsLocked(obj.ptrs)
 		return nil, err
 	}
+	obj.refs = 1
 	v.objects[name] = obj
 	return obj, nil
 }
@@ -243,6 +253,14 @@ func (v *Volume) writeBlock(data []byte) blockPtr {
 		v.ddt.Reference(h, addr, ptr.physLen, ptr.logLen, isCompressed, ptr.physHash)
 	}
 	return ptr
+}
+
+// unrefLocked drops one table's hold on o. When no table holds it any
+// more, its block references go.
+func (v *Volume) unrefLocked(o *Object) {
+	if o.refs--; o.refs == 0 {
+		v.releasePtrsLocked(o.ptrs)
+	}
 }
 
 // releasePtrsLocked drops references for ptrs, freeing blocks whose last
@@ -351,7 +369,7 @@ func (v *Volume) ReadBlock(name string, idx int) (data []byte, addr uint64, zero
 }
 
 // DeleteObject removes an object from the live table. Blocks remain alive
-// while any snapshot still references them.
+// while any snapshot still holds the object.
 func (v *Volume) DeleteObject(name string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -360,7 +378,7 @@ func (v *Volume) DeleteObject(name string) error {
 		return fmt.Errorf("%w: object %s", ErrNotFound, name)
 	}
 	delete(v.objects, name)
-	v.releasePtrsLocked(obj.ptrs)
+	v.unrefLocked(obj)
 	return nil
 }
 
