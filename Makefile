@@ -31,18 +31,19 @@ examples:
 	$(GO) run ./examples/peerboot
 	$(GO) run ./examples/resilver
 
-# Race-enabled loopback smoke for daemon mode: squirreld up, one
-# squirrelctl -addr run end to end, SIGTERM drain.
+# Race-enabled loopback smoke for daemon mode: two squirreld instances
+# up, squirrelctl telemetry and watch runs against them, SIGTERM drain.
 daemon-smoke:
 	./scripts/daemon_smoke.sh
 
-# Short fuzz burst over the wire-protocol decoders and the block codecs'
-# append decoders (each target also replays its seed corpus during plain
-# `make test`).
+# Short fuzz burst over the wire-protocol decoders, the send-stream
+# decoder and the block codecs' append decoders (each target also
+# replays its seed corpus during plain `make test`).
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/wireproto/
 	$(GO) test -fuzz FuzzReadHelloReply -fuzztime 5s ./internal/wireproto/
 	$(GO) test -fuzz FuzzDecodeError -fuzztime 5s ./internal/wireproto/
+	$(GO) test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/zvol/
 	$(GO) test -fuzz FuzzAppendDecompress -fuzztime 10s ./internal/compress/
 
 # Run the benchmarks (experiment regeneration at the repo root, counter

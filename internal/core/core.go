@@ -309,7 +309,7 @@ func New(cfg Config, cl *cluster.Cluster, pfs *cluster.PFS) (*Squirrel, error) {
 func (s *Squirrel) SCVolume() *zvol.Volume { return s.sc }
 
 // PeerIndex exposes the peer block exchange's content index (stats,
-// experiments, and the squirrelctl -peers dump read it).
+// experiments, and the squirrelctl peers dump read it).
 func (s *Squirrel) PeerIndex() *peer.Index { return s.peers }
 
 // BootReadSizes is the histogram of boot-trace read sizes across every

@@ -540,7 +540,7 @@ type NodeStatus struct {
 }
 
 // Health reports per-node lifecycle state, sorted by node ID — what
-// `squirrelctl -health` prints and what the chaos soak asserts on.
+// `squirrelctl health` prints and what the chaos soak asserts on.
 func (s *Squirrel) Health() []NodeStatus {
 	s.state.RLock()
 	defer s.state.RUnlock()

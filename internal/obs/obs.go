@@ -1,7 +1,7 @@
 // Package obs is Squirrel's observability layer: hierarchical operation
-// spans, a bounded ring of completed operation trees with pooled-span
-// recycling, striped per-op and per-node aggregation, and a unified
-// telemetry export surface (JSON + Prometheus-style text).
+// spans, a bounded ring of completed operation trees, striped per-op and
+// per-node aggregation, and a unified telemetry export surface (JSON +
+// Prometheus-style text).
 //
 // The paper's evaluation (§5) is entirely about where time and bytes go
 // — cold-boot CDFs, network transfer breakdowns, gain-factor
@@ -12,13 +12,12 @@
 // image, byte counts, fault/retry annotations, and simulated network
 // time alongside wall time.
 //
-// The layer is built for always-on operation. Span objects come from a
-// sync.Pool and are recycled when the completed-operation ring evicts
-// their tree (unless a snapshot reader has been handed the tree, in
-// which case it is left to the garbage collector). Aggregation is
-// striped across mutex shards folded together only at Snapshot time, so
-// concurrent span finishes touch disjoint cache lines instead of one
-// global registry lock. An optional seeded head-sampling knob
+// The layer is built for always-on operation. The ring is kept shallow,
+// since what tracing costs is the garbage collector re-marking the trees
+// it retains, and a tree it evicts is simply left to the collector.
+// Aggregation is striped across mutex shards folded together only at
+// Snapshot time, so concurrent span finishes touch disjoint cache lines
+// instead of one global registry lock. An optional head-sampling knob
 // (Config.SampleEvery) traces every Nth root operation for deployments
 // where even that overhead matters; the default of 1 traces everything.
 //
@@ -100,13 +99,9 @@ type Config struct {
 	// SampleEvery head-samples root operations: only every Nth StartOp
 	// returns a live span; the rest return nil, which makes the whole
 	// operation subtree free. 0 or 1 traces everything. Sampling is
-	// deterministic for a given (SampleEvery, SampleSeed) and call
-	// order. Aggregates and the ring then describe the sampled subset.
+	// deterministic for a given SampleEvery and call order. Aggregates
+	// and the ring then describe the sampled subset.
 	SampleEvery int
-
-	// SampleSeed offsets which residue class of root operations is
-	// kept, so replicated deployments can sample disjoint phases.
-	SampleSeed int64
 }
 
 // Telemetry is one deployment's observability state: a tracer feeding a
@@ -174,11 +169,6 @@ func NewWith(cfg Config) *Telemetry {
 		ring:        newRing(cfg.RingSize),
 		sampleEvery: every,
 	}
-	if every > 1 {
-		// Offset the kept residue class by the seed so two telemetries
-		// with different seeds keep different (deterministic) subsets.
-		tr.sampleTick.Store(uint64(cfg.SampleSeed) % every)
-	}
 	return &Telemetry{tracer: tr, counters: metrics.NewCounterSet()}
 }
 
@@ -202,8 +192,6 @@ func (t *Telemetry) Counters() *metrics.CounterSet {
 
 // Roots returns the completed root spans currently held by the ring,
 // oldest first. Spans are immutable once completed; the slice is fresh.
-// Handing a tree out pins it: the ring will no longer recycle it into
-// the span pool when it ages out.
 func (t *Telemetry) Roots() []*Span {
 	if t == nil {
 		return nil
@@ -235,7 +223,7 @@ func (t *Telemetry) FailedRoots() []*Span {
 	return out
 }
 
-// SlowestRoot picks the operation `squirrelctl -trace <kind>` dumps:
+// SlowestRoot picks the operation `squirrelctl trace <kind>` dumps:
 // the first failed root of that kind if any operation failed, otherwise
 // the root with the longest wall duration. Returns nil when the ring
 // holds no such operation.

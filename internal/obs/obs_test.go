@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"fmt"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -280,5 +281,204 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	}
 	if fetch, _ := snap.Op(OpPeerFetch); fetch.Bytes != 800*4096 {
 		t.Fatalf("peerFetch bytes %d", fetch.Bytes)
+	}
+}
+
+// TestSnapshotNeverHalfMerged hammers Snapshot while spans finish
+// concurrently and checks the striping invariant: a span's whole
+// contribution (count, bytes, node rollup) folds into one shard under
+// one lock, so no snapshot may ever observe a span half-applied. Every
+// span below contributes exactly 1 byte, so in every coherent view
+// bytes == count, per op kind and per node. Run under -race this also
+// exercises ring eviction racing snapshot readers.
+func TestSnapshotNeverHalfMerged(t *testing.T) {
+	tel := New(64)
+	tr := tel.Tracer()
+
+	const workers = 8
+	const perWorker = 300
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			node := []string{"node00", "node01", "node02"}[w%3]
+			for i := 0; i < perWorker; i++ {
+				sp := tr.StartOp("boot", node, "im0")
+				sp.AddBytes(1)
+				c := sp.Child("peerFetch", node, "im0")
+				c.AddBytes(1)
+				c.Finish()
+				sp.Finish()
+			}
+		}(w)
+	}
+
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := tel.Snapshot()
+				for _, op := range snap.Ops {
+					if op.Bytes != op.Count {
+						t.Errorf("half-merged op row %s: bytes=%d count=%d", op.Kind, op.Bytes, op.Count)
+					}
+				}
+				for _, n := range snap.Nodes {
+					if n.Bytes != n.Count {
+						t.Errorf("half-merged node row %s: bytes=%d count=%d", n.Node, n.Bytes, n.Count)
+					}
+				}
+			}
+		}()
+	}
+
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	snap := tel.Snapshot()
+	boot, ok := snap.Op("boot")
+	if !ok || boot.Count != workers*perWorker {
+		t.Fatalf("final boot count = %+v, want %d", boot, workers*perWorker)
+	}
+	fetch, _ := snap.Op("peerFetch")
+	if fetch.Count != workers*perWorker {
+		t.Fatalf("final peerFetch count = %d, want %d", fetch.Count, workers*perWorker)
+	}
+}
+
+// TestHeadSamplingDeterministic checks the SampleEvery contract: with
+// SampleEvery=N exactly one in N StartOp calls yields a live span, and
+// the kept subset depends only on call order. Remote continuations
+// bypass sampling.
+func TestHeadSamplingDeterministic(t *testing.T) {
+	kept := func() []int {
+		tel := NewWith(Config{RingSize: 16, SampleEvery: 4})
+		var kept []int
+		for i := 0; i < 100; i++ {
+			if sp := tel.Tracer().StartOp("boot", "", ""); sp != nil {
+				sp.Finish()
+				kept = append(kept, i)
+			}
+		}
+		return kept
+	}
+
+	a := kept()
+	if len(a) != 25 {
+		t.Fatalf("SampleEvery=4 kept %d of 100, want 25", len(a))
+	}
+	b := kept()
+	if len(b) != 25 {
+		t.Fatalf("second run kept %d, want 25", len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("sampling not deterministic: run1[%d]=%d run2[%d]=%d", i, a[i], i, b[i])
+		}
+	}
+
+	// Aggregates describe the sampled subset only.
+	tel := NewWith(Config{RingSize: 16, SampleEvery: 4})
+	for i := 0; i < 100; i++ {
+		if sp := tel.Tracer().StartOp("boot", "", ""); sp != nil {
+			sp.Finish()
+		}
+	}
+	if op, _ := tel.Snapshot().Op("boot"); op.Count != 25 {
+		t.Fatalf("sampled aggregate count = %d, want 25", op.Count)
+	}
+
+	// A remote continuation is never dropped: the originating client
+	// already decided this trace is kept.
+	for i := 0; i < 20; i++ {
+		sp := tel.Tracer().StartRemoteOp("rpc.dispatch", "", "", 77, uint64(i+1))
+		if sp == nil {
+			t.Fatalf("StartRemoteOp sampled away at call %d", i)
+		}
+		sp.Finish()
+	}
+	if got := len(tel.RemoteDumps(77)); got != 16 { // ring keeps the last 16
+		t.Fatalf("RemoteDumps returned %d trees, want ring size 16", got)
+	}
+}
+
+// TestDumpGraftRender drives the wire-trace merge path in-process: a
+// "client" session tree and a "daemon" dispatch tree built from the
+// session's wire context graft into one tree whose rendering matches
+// the native renderer line format.
+func TestDumpGraftRender(t *testing.T) {
+	client := New(8)
+	daemon := New(8)
+
+	session := client.Tracer().StartOp(OpSession, "", "")
+	rpc := session.Child(OpRPC, "", "")
+	rpc.Annotate("op.boot", 1)
+
+	// Daemon side: dispatch continues the client's (traceID, spanID).
+	disp := daemon.Tracer().StartRemoteOp(OpDispatch, "", "", session.SpanID(), rpc.SpanID())
+	boot := disp.Child("boot", "node03", "im0")
+	boot.AddBytes(4096)
+	boot.Child("lane", "node03", "im0").Finish()
+	boot.Finish()
+	disp.Finish()
+
+	rpc.Finish()
+	session.Finish()
+
+	remotes := daemon.RemoteDumps(session.SpanID())
+	if len(remotes) != 1 {
+		t.Fatalf("RemoteDumps returned %d trees, want 1", len(remotes))
+	}
+	dump := DumpTree(session)
+	if !dump.Graft(remotes[0]) {
+		t.Fatal("Graft failed to find the client rpc span")
+	}
+	// Unmatched trees must stay unattached.
+	stray := &TreeDump{Kind: OpDispatch, RemoteParent: 0xBAD}
+	if dump.Graft(stray) {
+		t.Fatal("Graft attached a tree with an unknown parent")
+	}
+
+	if d := dump.FindKind("boot"); d == nil || d.Bytes != 4096 || d.Node != "node03" {
+		t.Fatalf("grafted boot not reachable: %+v", d)
+	}
+	rendered := RenderDump(dump)
+	for _, line := range []string{OpSession, OpRPC, OpDispatch, "boot", "lane"} {
+		if !strings.Contains(rendered, line) {
+			t.Fatalf("merged render missing %q:\n%s", line, rendered)
+		}
+	}
+	// Depth check: boot sits under dispatch under rpc under session.
+	var depths []int
+	for _, ln := range strings.Split(strings.TrimRight(rendered, "\n"), "\n") {
+		depths = append(depths, (len(ln)-len(strings.TrimLeft(ln, " ")))/2)
+	}
+	want := []int{0, 1, 2, 3, 4}
+	for i := range want {
+		if i >= len(depths) || depths[i] != want[i] {
+			t.Fatalf("merged tree depths = %v, want %v:\n%s", depths, want, rendered)
+		}
+	}
+
+	// A dump of a purely local tree renders identically to the span
+	// renderer — wire-merged traces read exactly like local ones. The
+	// wall token is normalized: the dump measures via Unix nanos, the
+	// span via the monotonic clock, and they may differ by nanoseconds.
+	wallTok := regexp.MustCompile(`wall=\S+`)
+	dr := wallTok.ReplaceAllString(RenderDump(DumpTree(session)), "wall=X")
+	tr := wallTok.ReplaceAllString(RenderTree(session), "wall=X")
+	if dr != tr {
+		t.Fatalf("RenderDump diverges from RenderTree:\n%q\n%q", dr, tr)
 	}
 }

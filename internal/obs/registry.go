@@ -17,7 +17,7 @@ type Tracer struct {
 	ring *ring
 
 	// Head sampling: StartOp keeps one root operation in sampleEvery
-	// (every one when <= 1). sampleTick is pre-offset by the seed.
+	// (every one when <= 1).
 	sampleEvery uint64
 	sampleTick  atomic.Uint64
 }

@@ -20,18 +20,13 @@ import (
 // no-ops every method and hands out nil children, so a disabled tracer
 // costs instrumented code only nil checks.
 //
-// Span objects are pooled: when the completed-operation ring evicts a
-// tree that no snapshot reader was ever handed, every span in it goes
-// back to the pool and is reused by a later operation. A tree returned
-// by Roots/RootsOf/SlowestRoot/SlowestSpan is pinned (the exposed flag)
-// and ages out to the garbage collector instead, so callers can hold
-// snapshot results indefinitely.
+// A tree the completed-operation ring evicts ages out to the garbage
+// collector, so callers can hold snapshot results indefinitely.
 type Span struct {
-	tr      *Tracer
-	parent  *Span
-	seq     uint64      // ring slot ordering, assigned at append time
-	id      uint64      // process-unique span ID (wire trace context)
-	exposed atomic.Bool // handed to a snapshot reader; never recycle
+	tr     *Tracer
+	parent *Span
+	seq    uint64 // ring slot ordering, assigned at append time
+	id     uint64 // process-unique span ID (wire trace context)
 
 	// Remote trace linkage: the trace/parent span IDs carried in by a
 	// wire request frame (zero for locally rooted operations).
@@ -53,48 +48,14 @@ type Span struct {
 	finished bool
 }
 
-// spanPool recycles Span objects evicted from the ring. spanID hands
-// out process-unique span IDs; pooled reuse must re-stamp the ID so a
-// recycled object never aliases a live wire trace reference.
-var (
-	spanPool = sync.Pool{New: func() any { return new(Span) }}
-	spanID   atomic.Uint64
-)
+// spanID hands out process-unique span IDs.
+var spanID atomic.Uint64
 
 func newSpan(tr *Tracer, parent *Span, kind, node, image string) *Span {
-	s := spanPool.Get().(*Span)
-	s.tr, s.parent, s.seq = tr, parent, 0
-	s.id = spanID.Add(1)
-	s.exposed.Store(false)
-	s.rtrace, s.rparent = 0, 0
-	s.kind, s.start = kind, time.Now()
-	s.node, s.image = node, image
-	s.end = time.Time{}
-	s.bytes, s.simSec, s.err = 0, 0, ""
-	clear(s.annots)
-	s.children = s.children[:0]
-	s.finished = false
-	return s
-}
-
-// recycleTree returns an evicted, unexposed span tree to the pool. Only
-// finished spans recycle; an unfinished straggler (a child whose parent
-// finished first) is left to the garbage collector.
-func recycleTree(s *Span) {
-	s.mu.Lock()
-	done := s.finished
-	kids := s.children
-	s.children = nil // detach before pooling so no pooled span aliases another's slice
-	s.mu.Unlock()
-	for _, c := range kids {
-		recycleTree(c)
+	return &Span{
+		tr: tr, parent: parent, id: spanID.Add(1),
+		kind: kind, start: time.Now(), node: node, image: image,
 	}
-	if !done {
-		return
-	}
-	s.tr, s.parent = nil, nil
-	s.children = kids[:0] // keep the allocation for the next tree
-	spanPool.Put(s)
 }
 
 // SpanID returns the span's process-unique ID — the value the wire
@@ -390,7 +351,7 @@ func (s *Span) Wall() time.Duration {
 }
 
 // RenderTree renders a completed span tree as indented text, one span
-// per line — the `squirrelctl -trace` dump.
+// per line — the `squirrelctl trace` dump.
 func RenderTree(s *Span) string {
 	var b strings.Builder
 	renderInto(&b, s, 0)

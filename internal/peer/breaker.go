@@ -91,7 +91,7 @@ func (ix *Index) SetBreakerPolicy(p BreakerPolicy) {
 
 // BreakerState reports a node's circuit state: "closed", "open", or
 // "half-open" — or "" when breakers are disabled. What
-// `squirrelctl -health` prints per peer.
+// `squirrelctl health` prints per peer.
 func (ix *Index) BreakerState(node string) string {
 	if ix == nil {
 		return ""

@@ -10,7 +10,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -175,7 +177,10 @@ func (s *Store) Free(addr uint64) error {
 	if size == 0 {
 		size = 1
 	}
-	s.free = append(s.free, extent{addr: addr, size: size})
+	// Keep the list address-ordered whatever order callers free in, so
+	// first fit reuses the same addresses for the same set of frees.
+	i, _ := slices.BinarySearchFunc(s.free, addr, func(e extent, a uint64) int { return cmp.Compare(e.addr, a) })
+	s.free = slices.Insert(s.free, i, extent{addr: addr, size: size})
 	s.frees++
 	return nil
 }

@@ -63,6 +63,39 @@ func TestReuseFreedExtent(t *testing.T) {
 	}
 }
 
+// TestFreeOrderDoesNotChangeReuse frees the same extents in two orders
+// (zvol garbage collection frees in map-iteration order) and expects the
+// allocations that follow to land on identical addresses.
+func TestFreeOrderDoesNotChangeReuse(t *testing.T) {
+	sizes := []int{300, 120, 500, 80, 260, 410, 90, 150}
+	build := func(order []int) []uint64 {
+		s := New()
+		var addrs []uint64
+		for _, n := range sizes {
+			addrs = append(addrs, s.Alloc(make([]byte, n)))
+			s.Alloc(make([]byte, 7)) // live separator: no two freed extents touch
+		}
+		for _, i := range order {
+			if err := s.Free(addrs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []uint64
+		for _, n := range []int{100, 60, 250, 400, 30, 120, 500} {
+			got = append(got, s.Alloc(make([]byte, n)))
+		}
+		return got
+	}
+	forward := build([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	shuffled := build([]int{5, 2, 7, 0, 3, 6, 1, 4})
+	for i := range forward {
+		if forward[i] != shuffled[i] {
+			t.Fatalf("allocation %d landed at %d after one free order, %d after another\n  %v\n  %v",
+				i, forward[i], shuffled[i], forward, shuffled)
+		}
+	}
+}
+
 func TestEmptyPayloadAddressesUnique(t *testing.T) {
 	s := New()
 	a := s.Alloc(nil)

@@ -2,8 +2,11 @@ package wireclient_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"repro/internal/ctlplane"
 	"repro/internal/daemon"
 	"repro/internal/wireclient"
+	"repro/internal/wireproto"
 )
 
 var reconnectT0 = time.Date(2014, 6, 23, 9, 0, 0, 0, time.UTC)
@@ -181,5 +185,40 @@ func TestReconnectAfterDaemonRestart(t *testing.T) {
 	}
 	if !reflect.DeepEqual(wire.Stats, inproc.Stats) {
 		t.Errorf("stats diverge:\n wire  %+v\n local %+v", wire.Stats, inproc.Stats)
+	}
+}
+
+// TestDialFailsFastOnVersionMismatch stands in for a v1-only server:
+// whether it rejects the v2 offer or accepts while naming v1, Dial must
+// fail with ErrHandshake after one handshake, with no retry spin.
+func TestDialFailsFastOnVersionMismatch(t *testing.T) {
+	for _, status := range []uint8{wireproto.HelloVersionMismatch, wireproto.HelloOK} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hellos atomic.Int64
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				if _, err := wireproto.ReadHello(conn); err == nil {
+					hellos.Add(1)
+					reply := binary.LittleEndian.AppendUint16([]byte(wireproto.Magic), 1)
+					_, _ = conn.Write(binary.LittleEndian.AppendUint32(append(reply, status), 0))
+				}
+				conn.Close()
+			}
+		}()
+		_, err = wireclient.Dial(wireclient.Options{Addr: ln.Addr().String()})
+		ln.Close()
+		if !errors.Is(err, wireclient.ErrHandshake) {
+			t.Fatalf("status %d from a v1 server: got %v, want ErrHandshake", status, err)
+		}
+		if got := hellos.Load(); got != 1 {
+			t.Fatalf("status %d from a v1 server: %d handshakes, want 1 (no retries)", status, got)
+		}
 	}
 }

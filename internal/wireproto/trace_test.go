@@ -7,10 +7,9 @@ import (
 	"testing"
 )
 
-// TestTraceExtensionRoundTrip pins the version-2 frame layout: FlagTrace
-// inserts exactly 16 extension bytes between header and payload, both
-// IDs survive the round trip, and frames without the flag stay at the
-// version-1 length.
+// TestTraceExtensionRoundTrip pins the frame layout: FlagTrace inserts
+// exactly 16 extension bytes between header and payload, both IDs
+// survive the round trip, and frames without the flag carry none.
 func TestTraceExtensionRoundTrip(t *testing.T) {
 	in := Frame{Type: TBoot, Flags: FlagTrace, ReqID: 99, TraceID: 1 << 40, SpanID: 7, Payload: []byte("hello")}
 	enc := AppendFrame(nil, in)
@@ -45,53 +44,6 @@ func TestTraceExtensionCoveredByCRC(t *testing.T) {
 	enc[headerLen+2] ^= 0xFF
 	if _, err := ReadFrame(bytes.NewReader(enc)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted trace extension: got %v, want ErrChecksum", err)
-	}
-}
-
-// TestNegotiate pins the server-side version window.
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		client uint16
-		agreed uint16
-		ok     bool
-	}{
-		{MinVersion, MinVersion, true},
-		{Version, Version, true},
-		{MinVersion - 1, 0, false},
-		{Version + 1, 0, false},
-		{Version + 40, 0, false},
-	}
-	for _, c := range cases {
-		agreed, ok := Negotiate(c.client)
-		if agreed != c.agreed || ok != c.ok {
-			t.Fatalf("Negotiate(%d) = (%d,%v), want (%d,%v)", c.client, agreed, ok, c.agreed, c.ok)
-		}
-	}
-}
-
-// TestHelloVersionNegotiationWire walks both handshake directions with
-// explicit versions: the client's offer survives the wire, and the
-// server's reply names the agreed version.
-func TestHelloVersionNegotiationWire(t *testing.T) {
-	var hello bytes.Buffer
-	if err := WriteHelloVersion(&hello, MinVersion); err != nil {
-		t.Fatal(err)
-	}
-	ver, err := ReadHello(&hello)
-	if err != nil || ver != MinVersion {
-		t.Fatalf("ReadHello = (%d,%v), want (%d,nil)", ver, err, MinVersion)
-	}
-	agreed, ok := Negotiate(ver)
-	if !ok {
-		t.Fatalf("Negotiate(%d) rejected", ver)
-	}
-	var reply bytes.Buffer
-	if err := WriteHelloReplyVersion(&reply, agreed, HelloOK, ""); err != nil {
-		t.Fatal(err)
-	}
-	rver, status, _, err := ReadHelloReply(&reply)
-	if err != nil || status != HelloOK || rver != MinVersion {
-		t.Fatalf("reply = (v%d,%d,%v), want (v%d,HelloOK,nil)", rver, status, err, MinVersion)
 	}
 }
 

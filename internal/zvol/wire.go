@@ -2,6 +2,7 @@ package zvol
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -146,12 +147,36 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 }
 
 // maxWireStrings bounds decoded counts and lengths so a corrupt or
-// malicious stream cannot trigger huge allocations.
+// malicious stream cannot trigger huge allocations. wireChunk bounds
+// how far a block's allocation may run ahead of the bytes that arrived;
+// it is twice the largest volume block size in use (128 KB), so a real
+// block is allocated once.
 const (
 	maxWireName  = 4096
 	maxWireCount = 16 << 20
 	maxWireBlock = 64 << 20
+	wireChunk    = 256 << 10
 )
+
+// readBlock reads an n-byte block payload. A block larger than
+// wireChunk is read chunk by chunk and joined once it has all arrived,
+// so a length prefix alone never allocates more than one chunk.
+func readBlock(r io.Reader, n int) ([]byte, error) {
+	if n <= wireChunk {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	var parts [][]byte
+	for left := n; left > 0; left -= wireChunk {
+		p := make([]byte, min(left, wireChunk))
+		if _, err := io.ReadFull(r, p); err != nil {
+			return nil, err
+		}
+		parts = append(parts, p)
+	}
+	return bytes.Join(parts, nil), nil
+}
 
 // DecodeStream parses a wire-format stream, verifying the trailing CRC.
 func DecodeStream(r io.Reader) (*Stream, error) {
@@ -236,8 +261,8 @@ func DecodeStream(r io.Reader) (*Stream, error) {
 		if l > maxWireBlock {
 			return nil, fmt.Errorf("zvol: wire block length %d", l)
 		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(cr, b); err != nil {
+		b, err := readBlock(cr, int(l))
+		if err != nil {
 			return nil, err
 		}
 		st.Blocks = append(st.Blocks, b)
@@ -270,6 +295,9 @@ func DecodeStream(r io.Reader) (*Stream, error) {
 			}
 			if _, err := io.ReadFull(cr, p.Hash[:]); err != nil {
 				return nil, err
+			}
+			if flags&^1 != 0 {
+				return nil, fmt.Errorf("zvol: wire pointer flags %#x", flags)
 			}
 			p.Zero = flags&1 != 0
 			p.Payload = int(payload)

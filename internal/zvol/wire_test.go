@@ -2,8 +2,11 @@ package zvol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -172,4 +175,119 @@ func BenchmarkWireDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestWireBlockLengthDoesNotDriveAllocation sends a stream of a few
+// dozen bytes whose one block claims the 64 MB maximum: the decoder
+// must fail on the missing bytes having allocated well under 1 MB.
+func TestWireBlockLengthDoesNotDriveAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations swamp the measurement")
+	}
+	hdr := []byte(wireMagic)
+	hdr = binary.LittleEndian.AppendUint16(hdr, wireVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0) // fromSnap
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0) // toSnap
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0) // created
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0) // deletes
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1) // blocks
+	hdr = binary.LittleEndian.AppendUint32(hdr, maxWireBlock)
+	hdr = append(hdr, "partial"...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeStream(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated 64 MB block decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte stream claiming a 64 MB block allocated %d bytes before failing", len(hdr), got)
+	}
+}
+
+// withCRC replaces data's last four bytes with the stream CRC of the
+// rest, so fuzzed mutations reach the decoder's structure checks
+// instead of all stopping at the checksum.
+func withCRC(data []byte) []byte {
+	if len(data) < 4 {
+		return data
+	}
+	body := data[:len(data)-4]
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
+}
+
+// FuzzDecodeStream throws arbitrary bytes at the send-stream decoder,
+// both as given and with the trailer CRC recomputed. The invariants: it
+// never panics; an accepted stream re-encodes to exactly the bytes it
+// was decoded from; and a stream Receive rejects leaves the replica's
+// objects and Stats unchanged.
+//
+// Run with `go test -fuzz FuzzDecodeStream ./internal/zvol/`; the seed
+// corpus below is exercised on every plain `go test`.
+func FuzzDecodeStream(f *testing.F) {
+	src, err := New(cfg(4096, "gzip6", true))
+	if err != nil {
+		f.Fatal(err)
+	}
+	src.WriteObject("a", bytes.NewReader(mkData(50, 20*1024)))
+	src.Snapshot("s1", day(0))
+	src.WriteObject("b", bytes.NewReader(mkData(51, 12*1024)))
+	src.DeleteObject("a")
+	src.Snapshot("s2", day(1))
+	base, err := src.Send("", "s1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	incr, err := src.Send("s1", "s2")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, st := range []*Stream{base, incr} {
+		var buf bytes.Buffer
+		if _, err := st.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		enc := buf.Bytes()
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+		bad := append([]byte(nil), enc...)
+		bad[len(bad)/3] ^= 0x5A
+		f.Add(bad)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("SQRL\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x04"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, withCRC(data)} {
+			st, err := DecodeStream(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			var re bytes.Buffer
+			if _, err := st.Encode(&re); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(in, re.Bytes()) {
+				t.Fatalf("re-encode differs from the decoded bytes:\n%x\n%x", re.Bytes(), in)
+			}
+			dst, err := New(cfg(4096, "gzip6", true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Receive(base); err != nil {
+				t.Fatal(err)
+			}
+			objs, stats := dst.Objects(), dst.Stats()
+			if err := dst.Receive(st); err == nil {
+				continue
+			}
+			if got := dst.Objects(); !reflect.DeepEqual(got, objs) {
+				t.Fatalf("rejected stream changed the objects: %v -> %v", objs, got)
+			}
+			if got := dst.Stats(); got != stats {
+				t.Fatalf("rejected stream changed Stats:\n%+v\n%+v", stats, got)
+			}
+		}
+	})
 }
